@@ -32,7 +32,7 @@ import numpy as np
 
 from .._clock import Stopwatch
 from .._rng import ensure_rng
-from ..core import kernels, kernels_compiled
+from ..core import kernels
 from ..core.entropy import bernoulli_entropy
 from ..core.log import BACKENDS, QueryLog
 from ..core.pattern import Pattern
@@ -100,9 +100,8 @@ class Laserlight:
         max_features: optional cap re-imposing the 100-argument limit;
             features are selected by entropy (Appendix D.1).
         max_pattern_size: largest candidate pattern (in features).
-        backend: containment backend (``packed`` bitset kernels, the
-            optional ``compiled`` numba tier, or the ``dense``
-            reference scan); results are bit-identical.
+        backend: containment backend (``packed`` bitset kernels or
+            the ``dense`` reference scan); results are bit-identical.
         seed: RNG seed or generator.
     """
 
@@ -250,12 +249,11 @@ class _Containment:
     def __init__(self, matrix: np.ndarray, backend: str):
         self.matrix = matrix
         self.n_features = matrix.shape[1]
-        self._kernels = kernels_compiled.kernel_namespace(backend)
         self._packed = kernels.pack_rows(matrix) if backend != "dense" else None
 
     def mask(self, pattern: Pattern) -> np.ndarray:
         if self._packed is not None:
-            return self._kernels.contains(
+            return kernels.contains(
                 self._packed, kernels.pack_indices(pattern.indices, self.n_features)
             )
         return pattern.matches(self.matrix)
@@ -265,7 +263,7 @@ class _Containment:
         if not patterns:
             return np.empty((0, self.matrix.shape[0]), dtype=bool)
         if self._packed is not None:
-            return self._kernels.contains_many(
+            return kernels.contains_many(
                 self._packed,
                 kernels.pack_patterns([p.indices for p in patterns], self.n_features),
             )

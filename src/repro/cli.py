@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -202,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for staleness-triggered recompression",
     )
     serve.add_argument(
-        "--score-workers", type=int, default=0, metavar="N",
+        "--score-workers", type=_non_negative_int, default=0, metavar="N",
         help="shared-memory scoring worker pool size: N > 0 spawns N "
              "processes that map profile snapshots zero-copy and score "
              "/score traffic (plus recompression) off the serving "
@@ -309,10 +310,9 @@ def _add_compression_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metric", default="euclidean")
     parser.add_argument("--keep-constants", action="store_true")
     parser.add_argument(
-        "--backend", default="packed", choices=["packed", "dense", "compiled"],
-        help="pattern-containment kernel (packed uint64 bitsets, dense scans, "
-        "or the optional numba-compiled tier; 'compiled' falls back to "
-        "'packed' with a warning when numba is absent)",
+        "--backend", default="packed", choices=["packed", "dense"],
+        help="pattern-containment kernel (packed uint64 bitsets, or the "
+        "dense reference scans; results are bit-identical)",
     )
     parser.add_argument("--seed", type=int, default=0)
 
@@ -357,6 +357,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -626,15 +633,24 @@ def _cmd_serve(args) -> int:
     host, port = server.address
     print(
         f"serving {args.store} on http://{host}:{port} "
-        f"[{args.server_backend}] (Ctrl-C to stop)"
+        f"[{args.server_backend}] (Ctrl-C or SIGTERM to stop)",
+        flush=True,
     )
+    # SIGTERM (kill, service managers, container stop) takes the Ctrl-C
+    # drain-and-flush path; a server started in the background ignores SIGINT.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.shutdown()
     return 0
+
+
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
 
 
 def _cmd_ingest(args) -> int:

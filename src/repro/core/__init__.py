@@ -49,7 +49,7 @@ from .estimate import (
     synthesis_error,
     synthesize_patterns,
 )
-from . import kernels, kernels_compiled
+from . import kernels
 from .colstore import ColumnarLog, ColumnarLogWriter
 from .featurecache import CacheStats, CachedTemplate, FeatureCache, VocabularyCache
 from .log import BACKENDS, LogBuilder, QueryLog
@@ -95,7 +95,6 @@ __all__ = [
     "LogBuilder",
     "BACKENDS",
     "kernels",
-    "kernels_compiled",
     "ColumnarLog",
     "ColumnarLogWriter",
     "CacheStats",

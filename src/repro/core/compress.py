@@ -158,6 +158,11 @@ class CompressedLog:
             )
         if fmt not in ("logr-compressed-v1", "logr-compressed-v2"):
             raise ValueError(f"not a LogR artifact payload (format={fmt!r})")
+        backend = str(payload.get("backend", "packed"))
+        if backend == "compiled":
+            # Legacy label of the removed JIT kernel tier, which computed
+            # exactly what the packed kernels compute.
+            backend = "packed"
         return cls(
             mixture=PatternMixtureEncoding.from_payload(payload["mixture"]),
             labels=_labels_from_payload(payload["labels"]),
@@ -166,7 +171,7 @@ class CompressedLog:
             metric=str(payload["metric"]),
             build_seconds=float(payload["build_seconds"]),
             refined_patterns=int(payload.get("refined_patterns", 0)),
-            backend=str(payload.get("backend", "packed")),
+            backend=backend,
         )
 
     def size_bytes(self) -> int:

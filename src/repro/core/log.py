@@ -11,11 +11,11 @@ has 629,582 entries but only 605 distinct queries).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from . import kernels, kernels_compiled
+from . import kernels
 from .entropy import entropy
 from .pattern import Pattern
 from .vocabulary import Vocabulary
@@ -26,11 +26,8 @@ if TYPE_CHECKING:  # runtime import would cycle: colstore imports QueryLog
 __all__ = ["QueryLog", "LogBuilder", "BACKENDS"]
 
 #: Containment backends: ``packed`` scans uint64 bitset words (the
-#: default hot path), ``dense`` scans the raw uint8 matrix (reference),
-#: ``compiled`` runs the optional numba kernel tier
-#: (:mod:`repro.core.kernels_compiled`; falls back to ``packed`` with a
-#: warning when numba is not installed).
-BACKENDS = ("packed", "dense", "compiled")
+#: default hot path), ``dense`` scans the raw uint8 matrix (reference).
+BACKENDS = ("packed", "dense")
 
 
 class QueryLog:
@@ -41,11 +38,10 @@ class QueryLog:
         matrix: ``(n_distinct, n_features)`` 0/1 array of distinct rows.
         counts: multiplicity of each distinct row; ``counts.sum()`` is
             the total number of log entries ``|L|``.
-        backend: containment backend, ``packed`` (bitset kernels),
-            ``dense`` (reference uint8 scans), or ``compiled`` (the
-            optional numba JIT tier, falling back to ``packed`` when
-            numba is absent).  All are exact and bit-identical;
-            derived logs (partition/subset/project) inherit it.
+        backend: containment backend, ``packed`` (bitset kernels) or
+            ``dense`` (reference uint8 scans).  Both are exact and
+            bit-identical; derived logs (partition/subset/project)
+            inherit it.
     """
 
     def __init__(
@@ -70,10 +66,6 @@ class QueryLog:
             raise ValueError("multiplicities must be positive")
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        if backend == "compiled":
-            # Emits the one-time fallback warning when numba is absent;
-            # the log keeps its requested backend label either way.
-            kernels_compiled.resolve_backend(backend)
         self.vocabulary = vocabulary
         self.matrix = matrix
         self.counts = counts
@@ -150,21 +142,10 @@ class QueryLog:
         """Indices of features appearing in at least one query."""
         return np.flatnonzero(self.matrix.any(axis=0))
 
-    @property
-    def _kernels(self) -> Any:
-        """Packed-layout kernel module for this log's backend.
-
-        ``packed`` (and ``compiled`` without numba) resolves to the
-        NumPy reference kernels; ``compiled`` with numba resolves to
-        the JIT tier.  Both are exact, so the choice never changes a
-        result — only the wall clock.
-        """
-        return kernels_compiled.kernel_namespace(self.backend)
-
     def pattern_mask(self, pattern: Pattern) -> np.ndarray:
         """Boolean mask of distinct rows containing *pattern*."""
         if self.backend != "dense":
-            return self._kernels.contains(
+            return kernels.contains(
                 self.packed, kernels.pack_indices(pattern.indices, self.n_features)
             )
         return pattern.matches(self.matrix)
@@ -177,7 +158,7 @@ class QueryLog:
         """True count ``Γ_b(L) = |{q ∈ L : b ⊆ q}|`` (§6.2)."""
         if self.backend != "dense":
             return int(
-                self._kernels.support_counts(
+                kernels.support_counts(
                     self.packed_columns, self._byte_tally, [pattern.indices]
                 )[0]
             )
@@ -188,7 +169,7 @@ class QueryLog:
         if not len(patterns):
             return np.zeros(0, dtype=np.int64)
         if self.backend != "dense":
-            return self._kernels.support_counts(
+            return kernels.support_counts(
                 self.packed_columns, self._byte_tally, [p.indices for p in patterns]
             )
         return np.array(

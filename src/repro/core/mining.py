@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels_compiled
+from . import kernels
 from .log import BACKENDS, QueryLog
 from .pattern import Pattern
 
@@ -55,7 +55,6 @@ def frequent_patterns(
 
     counts = log.counts
     total = log.total
-    km = kernels_compiled.kernel_namespace(backend)
     if backend != "dense":
         column_bitsets = log.packed_columns
         tally = log._byte_tally
@@ -72,7 +71,7 @@ def frequent_patterns(
     # itemsets become Pattern objects only when emitted, so the
     # level-wise loop stays fully vectorized.
     if column_bitsets is not None:
-        feature_counts = km.support_counts(
+        feature_counts = kernels.support_counts(
             column_bitsets, tally, np.arange(log.n_features)[:, None]
         )
     else:
@@ -96,7 +95,7 @@ def frequent_patterns(
             break
         if column_bitsets is not None:
             supports = (
-                km.support_counts(column_bitsets, tally, candidates) / total
+                kernels.support_counts(column_bitsets, tally, candidates) / total
             )
         else:
             supports = np.array(

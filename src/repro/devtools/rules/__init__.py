@@ -10,7 +10,6 @@ is the expensive behavioral one that proves the invariant matters.
 from __future__ import annotations
 
 from ..engine import Rule
-from .accelerators import UnhomedAcceleratorImport
 from .concurrency import (
     BlockingCallInAsync,
     GuardedByDiscipline,
@@ -33,7 +32,6 @@ __all__ = [
     "BlockingCallInAsync",
     "FloatEquality",
     "DynamicTelemetryName",
-    "UnhomedAcceleratorImport",
     "default_rules",
     "RULE_CLASSES",
 ]
@@ -48,7 +46,6 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     BlockingCallInAsync,  # ASYNC01
     FloatEquality,  # FLOAT01
     DynamicTelemetryName,  # OBS01
-    UnhomedAcceleratorImport,  # KERN01
 )
 
 

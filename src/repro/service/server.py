@@ -352,7 +352,17 @@ class AnalyticsService:
         return version, threshold, scores
 
     def close(self) -> None:
-        """Release pooled resources (worker processes, shm segments)."""
+        """Retire every cached profile, then release pooled resources.
+
+        Retiring persists merged-but-unpersisted ingest state (``/ingest``
+        with ``persist: false``) exactly as LRU eviction does, so a
+        graceful shutdown never loses it.
+        """
+        with self._cache_lock:
+            handles = list(self._cache.values())
+            self._cache.clear()
+        for handle in handles:
+            self._retire(handle, note="persisted on shutdown")
         if self.pool is not None:
             self.pool.close()
 
@@ -415,7 +425,9 @@ class AnalyticsService:
             del self._cache[name]
         return victims
 
-    def _retire(self, handle: _Profile) -> None:
+    def _retire(
+        self, handle: _Profile, note: str = "persisted on cache eviction"
+    ) -> None:
         """Persist a victim's unpersisted ingest state before dropping it."""
         with handle.lock:
             if handle.dirty and handle.ingestor is not None:
@@ -423,7 +435,7 @@ class AnalyticsService:
                     handle.name,
                     handle.ingestor.compressed,
                     handle.ingestor.log,
-                    note="persisted on cache eviction",
+                    note=note,
                 )
                 handle.dirty = False
         if self.pool is not None:

@@ -24,7 +24,6 @@ from hypothesis import given, settings
 
 from repro.core.compress import LogRCompressor, compress_sharded
 from repro.core.executor import resolve_executor
-from repro.core.kernels_compiled import HAVE_NUMBA
 from repro.core.log import QueryLog
 from repro.core.mixture import PatternMixtureEncoding
 from repro.core.pattern import Pattern
@@ -285,16 +284,8 @@ def test_consolidated_equals_direct_fit_of_union_partitions(log, k):
 #: K-way clustering is itself noisy — never by more than this.
 CLUSTERING_NOISE_BITS = 0.75
 
-#: All exact kernel backends; `compiled` joins the grid only when numba
-#: is importable (without it the backend is a packed alias — that
-#: fallback equivalence is covered by test_kernels_compiled instead).
-BACKEND_GRID = [
-    "packed",
-    "dense",
-    pytest.param(
-        "compiled", marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    ),
-]
+#: All exact kernel backends.
+BACKEND_GRID = ["packed", "dense"]
 
 
 @pytest.mark.parametrize("backend", BACKEND_GRID)

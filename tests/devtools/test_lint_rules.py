@@ -33,9 +33,6 @@ EXPECTED = {
     "core/float01_violating.py": ["FLOAT01"] * 3,
     "core/float01_clean.py": [],
     "core/float01_suppressed.py": [],
-    "core/kern01_violating.py": ["KERN01"] * 3,
-    "core/kern01_clean.py": [],
-    "core/kern01_suppressed.py": [],
     "core/sup01_unjustified.py": ["SUP01"],
     "core/sup02_unused.py": ["SUP02"],
     "par01_violating.py": ["PAR01"] * 4,
@@ -121,24 +118,3 @@ def test_scope_exemptions():
     assert rules["ASYNC01"].applies_to(PurePath("src/repro/service/aserver.py"))
     assert not rules["ASYNC01"].applies_to(PurePath("src/repro/core/pipeline.py"))
 
-
-def test_kern01_home_guarding():
-    """Inside kernels_compiled.py only *unguarded* accelerator imports flag."""
-    home = PurePath("src/repro/core/kernels_compiled.py")
-    guarded = (
-        "try:\n"
-        "    from numba import njit\n"
-        "except ImportError:\n"
-        "    njit = None\n"
-        "def lazy():\n"
-        "    import numba\n"
-        "    return numba\n"
-    )
-    assert lint_source(home, guarded, default_rules()) == []
-    unguarded = "import numba\n"
-    findings = lint_source(home, unguarded, default_rules())
-    assert [v.rule for v in findings] == ["KERN01"]
-    # The same unguarded import in any other core module also flags.
-    elsewhere = PurePath("src/repro/core/mining.py")
-    findings = lint_source(elsewhere, guarded, default_rules())
-    assert [v.rule for v in findings] == ["KERN01"] * 2

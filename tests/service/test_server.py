@@ -10,6 +10,7 @@ from repro.core.compress import LogRCompressor
 from repro.service import (
     AnalyticsClient,
     AnalyticsServer,
+    AsyncAnalyticsServer,
     ServiceError,
     SummaryStore,
 )
@@ -236,6 +237,23 @@ class TestIngestEndpoint:
             client.score("beta", batch[:2])  # evicts alpha from the LRU
             assert store.latest("alpha").version == 2
             assert store.latest("alpha").note == "persisted on cache eviction"
+        assert store.load("alpha").mixture.total == 500 + 50
+
+    @pytest.mark.parametrize("transport", [AnalyticsServer, AsyncAnalyticsServer])
+    def test_shutdown_persists_unpersisted_ingest(self, tmp_path, transport):
+        store = SummaryStore(tmp_path / "store")
+        workload = generate_tpch(total=500, variants_per_template=4, seed=1)
+        log = workload.to_query_log()
+        compressed = LogRCompressor(n_clusters=2, seed=0, n_init=2).compress(log)
+        store.save("alpha", compressed, log)
+        batch = list(
+            generate_tpch(total=200, variants_per_template=4, seed=1).statements()
+        )[:50]
+        with transport(store, port=0) as server:
+            AnalyticsClient(server.url).ingest("alpha", batch, persist=False)
+            assert store.latest("alpha").version == 1  # not yet persisted
+        assert store.latest("alpha").version == 2
+        assert store.latest("alpha").note == "persisted on shutdown"
         assert store.load("alpha").mixture.total == 500 + 50
 
     def test_drift_threshold_change_rebuilds_monitor(self, tmp_path):

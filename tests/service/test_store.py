@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.compress import LogRCompressor
+from repro.core.compress import LogRCompressor, load_artifact
+from repro.service import AnalyticsService
 from repro.service.store import StoreError, SummaryStore
 from repro.workloads import generate_pocketdata
 
@@ -137,3 +138,60 @@ class TestTenancyAndLayout:
         truncated = log.subset(range(log.n_distinct - 1))
         with pytest.raises(ValueError):
             store.save("pocket", compressed, truncated)
+
+
+def _label_compiled(artifact: dict) -> dict:
+    """*artifact* as written by the removed ``compiled`` kernel tier."""
+    assert artifact["backend"] == "packed"
+    return {**artifact, "backend": "compiled"}
+
+
+class TestLegacyCompiledBackend:
+    """Artifacts and profiles labelled ``compiled`` still load and serve.
+
+    That label came from an optional JIT kernel tier, since removed,
+    whose results were bit-identical to ``packed``; it now reads as
+    ``packed``.
+    """
+
+    def test_artifact_loads_as_packed(self, profile_data, tmp_path):
+        _, compressed = profile_data
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(_label_compiled(compressed.to_payload())))
+        loaded = load_artifact(path)
+        assert loaded.backend == "packed"
+        assert loaded.to_json() == compressed.to_json()
+
+    def test_profile_ingests_and_scores_like_packed(self, profile_data, tmp_path):
+        log, compressed = profile_data
+        batch = list(
+            generate_pocketdata(total=400, n_distinct=90, seed=8).statements()
+        )
+        served = {}
+        for label in ("packed", "compiled"):
+            root = tmp_path / label
+            store = SummaryStore(root)
+            store.save("pocket", compressed, log)
+            if label == "compiled":
+                version_file = root / "profiles" / "pocket" / "v000001.json"
+                payload = json.loads(version_file.read_text())
+                payload["artifact"] = _label_compiled(payload["artifact"])
+                version_file.write_text(json.dumps(payload))
+            loaded, state = store.load_state("pocket")
+            assert loaded.backend == state.backend == "packed"
+            service = AnalyticsService(store, staleness_threshold=float("inf"))
+            try:
+                ingested = service.handle_ingest(
+                    {"profile": "pocket", "statements": batch}
+                )
+                ingested["report"].pop("seconds")  # wall clock
+                scored = service.handle_score(
+                    {"profile": "pocket", "statements": batch[:64]}
+                )
+            finally:
+                service.close()
+            artifact = store.load("pocket").to_payload()
+            served[label] = json.dumps(
+                [ingested, scored, artifact], sort_keys=True
+            )
+        assert served["compiled"] == served["packed"]

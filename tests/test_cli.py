@@ -1,11 +1,18 @@
 """Tests for the logr command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.workloads import generate_pocketdata, write_log
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +199,45 @@ class TestServiceCommands:
         )
         assert args.command == "serve"
         assert args.staleness_threshold == 1.5
+
+    def test_serve_rejects_negative_score_workers(self, capsys):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(
+            ["serve", "/tmp/store", "--score-workers", "0"]
+        ).score_workers == 0
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "/tmp/store", "--score-workers", "-3"])
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_serve_flushes_on_sigterm(self, store_with_profile, log_file):
+        from repro.service import AnalyticsClient, SummaryStore
+
+        store = SummaryStore(store_with_profile)
+        before = store.load("pocket").mixture.total
+        batch = log_file.read_text().splitlines()[:50]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(store_with_profile),
+             "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            url = "http://" + banner.split("http://", 1)[1].split()[0]
+            AnalyticsClient(url).ingest("pocket", batch, persist=False)
+            assert store.latest("pocket").version == 1  # not yet persisted
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0, proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert store.latest("pocket").version == 2
+        assert store.load("pocket").mixture.total == before + 50
 
 
 class TestParallelCompress:
